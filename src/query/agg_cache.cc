@@ -4,12 +4,10 @@
 #include <cmath>
 
 #include "query/executor.h"
-#include "query/expr_eval.h"
 #include "util/strings.h"
 
 namespace aorta::query {
 
-using aorta::util::Result;
 using aorta::util::Status;
 using device::Value;
 
@@ -31,16 +29,6 @@ ExprPtr normalize(const Expr& expr) {
   };
   walk(*out);
   return out;
-}
-
-std::optional<std::string> agg_name(const Expr& expr) {
-  if (expr.kind != Expr::Kind::kFuncCall) return std::nullopt;
-  std::string fn = aorta::util::to_lower(expr.func_name);
-  if (fn == "count" || fn == "sum" || fn == "avg" || fn == "min" ||
-      fn == "max") {
-    return fn;
-  }
-  return std::nullopt;
 }
 
 // Deterministic, injective encoding of a group-key value vector. Doubles
@@ -76,19 +64,11 @@ void encode_value(const Value& v, std::string* out) {
 }  // namespace
 
 AggregateCache::AggregateCache(comm::ScanBroker* broker,
-                               aorta::util::EventLoop* loop,
-                               const Catalog* catalog, Options options)
-    : broker_(broker), loop_(loop), catalog_(catalog), options_(options) {}
+                               aorta::util::EventLoop* loop, Options options)
+    : broker_(broker), loop_(loop), options_(options) {}
 
 AggregateCache::~AggregateCache() {
   for (auto& [id, entry] : entries_) broker_->unsubscribe(entry->subscription);
-}
-
-bool AggregateCache::has_aggregates(const CompiledQuery& compiled) {
-  for (const auto& proj : compiled.projections) {
-    if (agg_name(*proj).has_value()) return true;
-  }
-  return false;
 }
 
 Status AggregateCache::build_spec(const CompiledQuery& compiled,
@@ -150,45 +130,29 @@ Status AggregateCache::build_spec(const CompiledQuery& compiled,
   }
 
   // Select list: aggregate calls + group-key columns, nothing else.
-  for (const auto& proj : compiled.projections) {
-    auto fn = agg_name(*proj);
-    if (fn.has_value()) {
-      if (proj->args.size() > 1) {
-        return aorta::util::invalid_argument_error(
-            "aggregate takes at most one argument: " + proj->to_string());
-      }
-      const Expr* arg = proj->args.empty() ? nullptr : proj->args[0].get();
-      if (arg != nullptr && arg->kind == Expr::Kind::kColumnRef &&
-          arg->column == "*") {
-        arg = nullptr;  // COUNT(*)
-      }
-      if (*fn != "count" && arg == nullptr) {
-        return aorta::util::invalid_argument_error(
-            "aggregate needs a column argument: " + proj->to_string());
-      }
-      ExprPtr norm = arg == nullptr ? nullptr : normalize(*arg);
-      std::string key = norm == nullptr ? "*" : norm->to_string();
+  for (std::size_t j = 0; j < compiled.projections.size(); ++j) {
+    const Expr* proj = compiled.projections[j].get();
+    const AggOp op = compiled.projection_aggs[j];
+    if (op != AggOp::kNone) {
+      const Expr* arg = compiled.agg_args[j];
+      std::string key = arg == nullptr ? "*" : normalize(*arg)->to_string();
       std::size_t idx = 0;
       for (; idx < spec->arg_keys.size(); ++idx) {
         if (spec->arg_keys[idx] == key) break;
       }
       if (idx == spec->arg_keys.size()) {
-        spec->arg_keys.push_back(key);
-        spec->arg_exprs.push_back(std::move(norm));
+        spec->arg_keys.push_back(std::move(key));
+        spec->arg_items.push_back(j);
       }
       SubItem item;
       item.is_group = false;
       item.index = idx;
-      if (*fn == "count") item.op = AggOp::kCount;
-      else if (*fn == "sum") item.op = AggOp::kSum;
-      else if (*fn == "avg") item.op = AggOp::kAvg;
-      else if (*fn == "min") item.op = AggOp::kMin;
-      else item.op = AggOp::kMax;
+      item.op = op;
       item.label = proj->to_string();
       spec->items.push_back(std::move(item));
       continue;
     }
-    if (proj->kind == Expr::Kind::kColumnRef && proj->column != "*") {
+    if (proj->kind == Expr::Kind::kColumnRef) {
       auto it = std::find(spec->group_cols.begin(), spec->group_cols.end(),
                           proj->column);
       if (it != spec->group_cols.end()) {
@@ -208,9 +172,7 @@ Status AggregateCache::build_spec(const CompiledQuery& compiled,
   // Normalized predicate texts, sorted (conjunct order must not change
   // the hash).
   for (const auto& p : compiled.event_predicates) {
-    ExprPtr norm = normalize(*p);
-    spec->pred_keys.push_back(norm->to_string());
-    spec->preds.push_back(std::move(norm));
+    spec->pred_keys.push_back(normalize(*p)->to_string());
   }
   std::sort(spec->pred_keys.begin(), spec->pred_keys.end());
 
@@ -286,27 +248,13 @@ Status AggregateCache::attach(const std::string& name,
     owned->slide = spec.slide;
     owned->window_panes = spec.window / spec.slide;
     owned->needed = spec.needed;
-    owned->schema = compiled.schemas.at(compiled.event_alias);
-    const std::vector<std::string> aliases{kAlias};
-    const std::map<std::string, const comm::Schema*> schemas{
-        {kAlias, &owned->schema}};
-    for (auto& p : spec.preds) {
-      auto prog = EvalProgram::compile(*p, aliases, schemas,
-                                       catalog_->functions());
-      owned->pred_programs.push_back(
-          prog.is_ok() ? std::optional<EvalProgram>(std::move(prog).value())
-                       : std::nullopt);
-      owned->preds.push_back(std::move(p));
-    }
+    owned->pred_programs = compiled.event_programs;
     for (std::size_t i = 0; i < spec.arg_keys.size(); ++i) {
+      const std::size_t j = spec.arg_items[i];
       ArgCol arg;
       arg.key = spec.arg_keys[i];
-      arg.expr = std::move(spec.arg_exprs[i]);
-      if (arg.expr != nullptr) {
-        auto prog = EvalProgram::compile(*arg.expr, aliases, schemas,
-                                         catalog_->functions());
-        if (prog.is_ok()) arg.program = std::move(prog).value();
-      }
+      arg.rows = compiled.agg_args[j] == nullptr;
+      arg.program = compiled.projection_programs[j];
       owned->args.push_back(std::move(arg));
     }
     std::uint64_t id = owned->id;
@@ -393,32 +341,6 @@ void AggregateCache::detach(std::uint64_t generation) {
   }
 }
 
-bool AggregateCache::eval_pred(const Entry& entry, std::size_t i,
-                               const comm::Tuple& tuple) const {
-  if (entry.pred_programs[i].has_value()) {
-    BindingFrame frame;
-    frame.size = 1;
-    frame.set(0, &tuple);
-    return entry.pred_programs[i]->run_predicate(frame);
-  }
-  Env env;
-  env.bind(kAlias, &tuple);
-  return eval_predicate(*entry.preds[i], env, catalog_->functions());
-}
-
-Result<Value> AggregateCache::eval_arg(const ArgCol& arg,
-                                       const comm::Tuple& tuple) const {
-  if (arg.program.has_value()) {
-    BindingFrame frame;
-    frame.size = 1;
-    frame.set(0, &tuple);
-    return arg.program->run(frame);
-  }
-  Env env;
-  env.bind(kAlias, &tuple);
-  return eval(*arg.expr, env, catalog_->functions());
-}
-
 void AggregateCache::on_batch(std::uint64_t entry_id,
                               const std::vector<comm::Tuple>& tuples,
                               std::uint64_t issue_tick) {
@@ -428,36 +350,30 @@ void AggregateCache::on_batch(std::uint64_t entry_id,
   const std::uint64_t sample = (issue_tick - entry.phase) / entry.period;
 
   stats_.tuples_evaluated += tuples.size();
+  BindingFrame frame;
+  frame.size = 1;
+  std::vector<AggPartial> contribs(entry.args.size());
   for (const comm::Tuple& tuple : tuples) {
+    frame.set(0, &tuple);
     bool pass = true;
-    for (std::size_t i = 0; i < entry.preds.size(); ++i) {
-      if (!eval_pred(entry, i, tuple)) {
+    for (const EvalProgram& pred : entry.pred_programs) {
+      if (!pred.run_predicate(frame)) {
         pass = false;
         break;
       }
     }
     if (!pass) continue;
 
-    // Evaluate every aggregate argument once; the per-arg contribution is
-    // then folded into each grouping's matching group.
-    struct Contribution {
-      bool counts = false;   // non-null (COUNT domain)
-      bool numeric = false;  // coercible (SUM/AVG/MIN/MAX domain)
-      double x = 0.0;
-    };
-    std::vector<Contribution> contribs(entry.args.size());
+    // Evaluate every aggregate argument once into a one-tuple partial;
+    // each grouping's matching group then merges it.
     for (std::size_t a = 0; a < entry.args.size(); ++a) {
-      Contribution& c = contribs[a];
-      if (entry.args[a].expr == nullptr) {  // COUNT(*)
-        c.counts = true;
+      contribs[a] = AggPartial{};
+      if (entry.args[a].rows) {
+        contribs[a].add_row();
         continue;
       }
-      auto v = eval_arg(entry.args[a], tuple);
-      if (!v.is_ok() || std::holds_alternative<std::monostate>(v.value())) {
-        continue;  // NULLs never contribute
-      }
-      c.counts = true;
-      c.numeric = device::value_as_double(v.value(), &c.x);
+      auto v = entry.args[a].program.run(frame);
+      if (v.is_ok()) contribs[a].add(v.value());  // errors never contribute
     }
 
     for (auto& grouping : entry.groupings) {
@@ -474,19 +390,9 @@ void AggregateCache::on_batch(std::uint64_t entry_id,
         }
       }
       for (std::size_t a = 0; a < entry.args.size(); ++a) {
-        const Contribution& c = contribs[a];
         ArgWindow& w = group.args[a];
         w.cur.degraded |= tuple.degraded();
-        if (c.counts) ++w.cur.cnt;
-        if (!c.numeric) continue;
-        if (w.cur.n_num == 0) {
-          w.cur.low = c.x;
-          w.cur.high = c.x;
-        }
-        w.cur.sum += c.x;
-        w.cur.low = std::min(w.cur.low, c.x);
-        w.cur.high = std::max(w.cur.high, c.x);
-        ++w.cur.n_num;
+        w.cur.agg.merge(contribs[a]);
       }
     }
   }
@@ -522,28 +428,12 @@ void AggregateCache::close_pane(
       for (ArgWindow& w : group.args) {
         // Close the open pane (only when it saw data), then expire
         // everything older than the window that ends at `pane`.
-        if (w.cur.cnt > 0 || w.cur.n_num > 0 || w.cur.degraded) {
-          if (w.cur.n_num > 0) {
-            while (!w.mins.empty() && w.mins.back().second >= w.cur.low) {
-              w.mins.pop_back();
-            }
-            w.mins.emplace_back(pane, w.cur.low);
-            while (!w.maxs.empty() && w.maxs.back().second <= w.cur.high) {
-              w.maxs.pop_back();
-            }
-            w.maxs.emplace_back(pane, w.cur.high);
-          }
+        if (w.cur.agg.cnt > 0 || w.cur.degraded) {
           w.panes.emplace_back(pane, w.cur);
           w.cur = PanePartial{};
         }
         while (!w.panes.empty() && w.panes.front().first < low_pane) {
           w.panes.pop_front();
-        }
-        while (!w.mins.empty() && w.mins.front().first < low_pane) {
-          w.mins.pop_front();
-        }
-        while (!w.maxs.empty() && w.maxs.front().first < low_pane) {
-          w.maxs.pop_front();
         }
         if (!w.panes.empty()) live = true;
       }
@@ -577,29 +467,12 @@ void AggregateCache::close_pane(
 Value AggregateCache::finalize(const GroupState& group, const SubItem& item,
                                bool* degraded) const {
   if (item.is_group) return group.values[item.index];
-  const ArgWindow& w = group.args[item.index];
-  double sum = 0.0;
-  std::uint64_t n_num = 0, cnt = 0;
-  for (const auto& [pane, partial] : w.panes) {
-    sum += partial.sum;
-    n_num += partial.n_num;
-    cnt += partial.cnt;
+  AggPartial window;
+  for (const auto& [pane, partial] : group.args[item.index].panes) {
+    window.merge(partial.agg);
     *degraded |= partial.degraded;
   }
-  switch (item.op) {
-    case AggOp::kCount:
-      return static_cast<std::int64_t>(cnt);
-    case AggOp::kSum:
-      return n_num == 0 ? Value{} : Value{sum};
-    case AggOp::kAvg:
-      return n_num == 0 ? Value{}
-                        : Value{sum / static_cast<double>(n_num)};
-    case AggOp::kMin:
-      return w.mins.empty() ? Value{} : Value{w.mins.front().second};
-    case AggOp::kMax:
-      return w.maxs.empty() ? Value{} : Value{w.maxs.front().second};
-  }
-  return Value{};
+  return window.finalize(item.op);
 }
 
 }  // namespace aorta::query

@@ -18,13 +18,13 @@
 // batch): a pane is `slide` consecutive samples, a window is
 // `window/slide` consecutive panes, and emission happens at every pane
 // close, which coincides with the engine's epoch barrier for the batch
-// that completed the pane. SUM/COUNT/AVG re-fold the ≤ window/slide
-// retained pane partials at emission; MIN/MAX keep per-group monotonic
-// deques of per-pane extrema so a window extremum is a deque front, not a
-// rescan. Subscribers that join mid-stream only see windows made entirely
-// of panes after their join (min_pane warm-up), which keeps a shared
-// entry's output byte-identical to the private entry the
-// `Config::aggregate_cache=false` ablation would have built.
+// that completed the pane. Every op finalizes by merging the ≤
+// window/slide retained pane partials (query/aggregate.h) at emission —
+// one walk per item that MIN/MAX share with SUM/COUNT/AVG. Subscribers
+// that join mid-stream only see windows made entirely of panes after
+// their join (min_pane warm-up), which keeps a shared entry's output
+// byte-identical to the private entry the `Config::aggregate_cache=false`
+// ablation would have built.
 #pragma once
 
 #include <cstdint>
@@ -32,7 +32,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -74,16 +73,15 @@ class AggregateCache {
       std::function<void(const std::string& name, const TimestampedRow& row)>;
 
   AggregateCache(comm::ScanBroker* broker, aorta::util::EventLoop* loop,
-                 const Catalog* catalog, Options options);
+                 Options options);
   ~AggregateCache();
-
-  // Does the compiled query's select list contain aggregate calls?
-  static bool has_aggregates(const CompiledQuery& compiled);
 
   // Attach a continuous aggregate AQ. `epoch_ticks` is its sample period
   // in engine ticks, `sample_period_s` the same period in seconds (window
   // validation). Fails on invalid aggregate shape (multi-table, embedded
   // actions, non-grouped plain projections, windows that don't divide).
+  // A new entry evaluates with the first subscriber's compiled programs
+  // (slot-resolved, so valid for every co-hashed query).
   aorta::util::Status attach(const std::string& name, std::uint64_t generation,
                              const CompiledQuery& compiled,
                              std::uint64_t epoch_ticks, double sample_period_s,
@@ -99,29 +97,18 @@ class AggregateCache {
   std::size_t subscriber_count() const { return subs_by_gen_.size(); }
 
  private:
-  enum class AggOp : std::uint8_t { kCount, kSum, kAvg, kMin, kMax };
-
-  // One pane's accumulation for one aggregate argument of one group.
-  // `n_num` counts numeric contributions (sum/avg/min/max domain), `cnt`
-  // counts non-null contributions (count domain) — mirroring the one-shot
-  // aggregate's NULL/non-numeric skip rules exactly.
+  // One pane's accumulation for one aggregate argument of one group, and
+  // whether any tuple folded into it was served degraded.
   struct PanePartial {
-    double sum = 0.0;
-    double low = 0.0;
-    double high = 0.0;
-    std::uint64_t n_num = 0;
-    std::uint64_t cnt = 0;
+    AggPartial agg;
     bool degraded = false;
   };
 
-  // Sliding state for one aggregate argument of one group: the open pane,
-  // the ring of closed panes still inside some window, and the monotonic
-  // min/max deques over those panes.
+  // Sliding state for one aggregate argument of one group: the open pane
+  // and the ring of closed panes still inside some window.
   struct ArgWindow {
     PanePartial cur;
     std::deque<std::pair<std::uint64_t, PanePartial>> panes;
-    std::deque<std::pair<std::uint64_t, double>> mins;  // increasing
-    std::deque<std::pair<std::uint64_t, double>> maxs;  // decreasing
   };
 
   struct GroupState {
@@ -159,11 +146,10 @@ class AggregateCache {
   };
 
   // One normalized aggregate argument, evaluated once per passing tuple.
-  // `expr == nullptr` is the COUNT(*) pseudo-argument.
   struct ArgCol {
-    std::string key;  // canonical text ("e.temp", "*")
-    ExprPtr expr;
-    std::optional<EvalProgram> program;
+    std::string key;    // canonical text ("e.temp", "*")
+    bool rows = false;  // the count(*) pseudo-argument: nothing to run
+    EvalProgram program;
   };
 
   struct Entry {
@@ -176,9 +162,7 @@ class AggregateCache {
     std::uint64_t slide = 1;   // in samples
     std::uint64_t window_panes = 1;  // window / slide
     std::set<std::string> needed;    // attrs the subscription acquires
-    comm::Schema schema;             // event-table schema (owned)
-    std::vector<ExprPtr> preds;      // canonicalized to alias "e"
-    std::vector<std::optional<EvalProgram>> pred_programs;
+    std::vector<EvalProgram> pred_programs;
     std::vector<ArgCol> args;
     std::vector<std::unique_ptr<Grouping>> groupings;
     std::vector<std::uint64_t> subs;  // subscriber generations, ascending
@@ -188,10 +172,9 @@ class AggregateCache {
   // The normalized shape distilled from one AQ's compiled query; feeds
   // both the hash and the entry/subscriber construction.
   struct Spec {
-    std::vector<ExprPtr> preds;             // alias-normalized clones
     std::vector<std::string> pred_keys;     // sorted canonical texts
-    std::vector<ExprPtr> arg_exprs;         // normalized distinct args
-    std::vector<std::string> arg_keys;      // parallel canonical texts
+    std::vector<std::string> arg_keys;      // distinct normalized args
+    std::vector<std::size_t> arg_items;     // projection computing each
     std::vector<std::string> group_cols;    // clause order
     std::vector<SubItem> items;             // select-list rendering plan
     std::uint64_t window = 1;               // samples
@@ -209,14 +192,8 @@ class AggregateCache {
   device::Value finalize(const GroupState& group, const SubItem& item,
                          bool* degraded) const;
 
-  aorta::util::Result<device::Value> eval_arg(const ArgCol& arg,
-                                              const comm::Tuple& tuple) const;
-  bool eval_pred(const Entry& entry, std::size_t i,
-                 const comm::Tuple& tuple) const;
-
   comm::ScanBroker* broker_;
   aorta::util::EventLoop* loop_;
-  const Catalog* catalog_;
   Options options_;
 
   std::map<std::uint64_t, std::unique_ptr<Entry>> entries_;  // by entry id

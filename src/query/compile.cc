@@ -59,7 +59,7 @@ bool references_sensory(const Expr& expr, const std::string& alias,
 // non-event binding, which classification should already preclude) makes
 // the result inexact but never unsound — it just stays a residual filter.
 std::optional<IndexableConjunct> distill_index_conjunct(
-    const std::vector<std::optional<EvalProgram>>& event_programs,
+    const std::vector<EvalProgram>& event_programs,
     std::size_t event_binding, const comm::Schema& event_schema) {
   struct SlotAcc {
     double lo = -std::numeric_limits<double>::infinity();
@@ -75,8 +75,7 @@ std::optional<IndexableConjunct> distill_index_conjunct(
   std::map<std::uint32_t, SlotAcc> slots;
   std::size_t hinted = 0;
   for (const auto& program : event_programs) {
-    if (!program) continue;
-    auto hint = program->index_hint();
+    auto hint = program.index_hint();
     if (!hint || hint->binding != event_binding) continue;
     ++hinted;
     SlotAcc& acc = slots[hint->slot];
@@ -283,6 +282,17 @@ Result<CompiledQuery> compile(const SelectStmt& stmt, const Catalog& catalog,
 
   // ---- SELECT list: actions vs projections -------------------------------
   for (const auto& item : stmt.select_list) {
+    if (item->kind == Expr::Kind::kColumnRef && item->column == "*") {
+      // SELECT *: every attribute of every table, as qualified column refs
+      // in alias-sorted order (stable across the FROM clause's phrasing),
+      // each table's in schema order.
+      for (const auto& [alias, schema] : q.schemas) {
+        for (const auto& f : schema.fields()) {
+          q.projections.push_back(Expr::make_column(alias, f.name));
+        }
+      }
+      continue;
+    }
     if (item->kind == Expr::Kind::kFuncCall) {
       const ActionDef* action = catalog.find_action(item->func_name);
       if (action != nullptr) {
@@ -326,21 +336,39 @@ Result<CompiledQuery> compile(const SelectStmt& stmt, const Catalog& catalog,
   }
 
   // ---- compiled evaluation ------------------------------------------------
-  // Lower every hot-path expression to a slot-resolved program once.
-  // Whatever does not lower (SELECT *, aggregates, unknown functions)
-  // keeps the tree-walking evaluator as its per-row fallback.
+  // Lower every per-row expression to a slot-resolved program once. An
+  // aggregate call never lowers (count/sum/... are not scalar functions);
+  // its argument does. Anything else that does not lower — an unknown
+  // function, an unknown or ambiguous column — rejects the statement.
   for (std::size_t i = 0; i < q.binding_aliases.size(); ++i) {
     if (q.binding_aliases[i] == q.event_alias) q.event_binding = i;
   }
-  auto lower = [&](const Expr& e) -> std::optional<EvalProgram> {
+  auto lower = [&](const Expr& e, std::vector<EvalProgram>* out) -> Status {
     auto p = EvalProgram::compile(e, q.binding_aliases, schemas,
                                   catalog.functions());
-    if (!p.is_ok()) return std::nullopt;
-    return std::move(p).value();
+    if (!p.is_ok()) return p.status();
+    out->push_back(std::move(p).value());
+    return Status::ok();
   };
-  for (const auto& p : q.event_predicates) q.event_programs.push_back(lower(*p));
-  for (const auto& p : q.join_predicates) q.join_programs.push_back(lower(*p));
-  for (const auto& p : q.projections) q.projection_programs.push_back(lower(*p));
+  for (const auto& p : q.event_predicates) {
+    RETURN_IF_ERROR_R(lower(*p, &q.event_programs));
+  }
+  for (const auto& p : q.join_predicates) {
+    RETURN_IF_ERROR_R(lower(*p, &q.join_programs));
+  }
+  for (const auto& p : q.projections) {
+    const AggOp op = agg_op(*p);
+    const Expr* arg = nullptr;
+    if (op != AggOp::kNone) RETURN_IF_ERROR_R(agg_argument(*p, &arg));
+    q.projection_aggs.push_back(op);
+    q.agg_args.push_back(arg);
+    if (op != AggOp::kNone && arg == nullptr) {
+      q.projection_programs.emplace_back();  // count(*): nothing to run
+      continue;
+    }
+    RETURN_IF_ERROR_R(lower(op == AggOp::kNone ? *p : *arg,
+                            &q.projection_programs));
+  }
   for (auto& call : q.actions) {
     for (std::size_t i = 0; i < q.binding_aliases.size(); ++i) {
       if (q.binding_aliases[i] == call.candidate_alias) {
@@ -348,25 +376,23 @@ Result<CompiledQuery> compile(const SelectStmt& stmt, const Catalog& catalog,
       }
     }
     for (std::size_t a = 0; a < call.args.size(); ++a) {
-      call.arg_programs.push_back(a == call.action->binding_param
-                                      ? std::nullopt
-                                      : lower(*call.args[a]));
+      if (a == call.action->binding_param) {
+        call.arg_programs.emplace_back();  // finalized per selected device
+        continue;
+      }
+      RETURN_IF_ERROR_R(lower(*call.args[a], &call.arg_programs));
     }
   }
 
   // ---- projection pushdown ----------------------------------------------
   for (const Expr* c : conjuncts) collect_columns(*c, schemas, &q.needed_attrs);
-  for (const auto& item : stmt.select_list) {
-    if (item->kind == Expr::Kind::kColumnRef && item->column == "*") {
-      // SELECT *: need everything from every table.
-      for (const auto& [alias, schema] : schemas) {
-        for (const auto& f : schema->fields()) {
-          q.needed_attrs[alias].insert(f.name);
-        }
-      }
-      continue;
+  for (const auto& p : q.projections) {
+    collect_columns(*p, schemas, &q.needed_attrs);
+  }
+  for (const auto& call : q.actions) {
+    for (const auto& arg : call.args) {
+      collect_columns(*arg, schemas, &q.needed_attrs);
     }
-    collect_columns(*item, schemas, &q.needed_attrs);
   }
   for (const auto& g : stmt.group_by) {
     collect_columns(*g, schemas, &q.needed_attrs);
@@ -395,40 +421,22 @@ std::map<std::string, const comm::Schema*> CompiledQuery::schema_ptrs() const {
   return out;
 }
 
-namespace {
-
-void count_programs(const std::vector<std::optional<EvalProgram>>& programs,
-                    std::size_t* compiled, std::size_t* fallback) {
-  for (const auto& p : programs) {
-    if (p.has_value()) ++*compiled;
-    else ++*fallback;
-  }
+bool CompiledQuery::has_aggregates() const {
+  return std::any_of(projection_aggs.begin(), projection_aggs.end(),
+                     [](AggOp op) { return op != AggOp::kNone; });
 }
-
-}  // namespace
 
 std::size_t CompiledQuery::program_count() const {
-  std::size_t compiled = 0, fallback = 0;
-  count_programs(event_programs, &compiled, &fallback);
-  count_programs(join_programs, &compiled, &fallback);
-  count_programs(projection_programs, &compiled, &fallback);
-  for (const auto& call : actions) {
-    count_programs(call.arg_programs, &compiled, &fallback);
+  std::size_t n = event_programs.size() + join_programs.size();
+  for (std::size_t i = 0; i < projections.size(); ++i) {
+    if (projection_aggs[i] == AggOp::kNone || agg_args[i] != nullptr) ++n;
   }
-  return compiled;
-}
-
-std::size_t CompiledQuery::fallback_count() const {
-  std::size_t compiled = 0, fallback = 0;
-  count_programs(event_programs, &compiled, &fallback);
-  count_programs(join_programs, &compiled, &fallback);
-  count_programs(projection_programs, &compiled, &fallback);
   for (const auto& call : actions) {
-    count_programs(call.arg_programs, &compiled, &fallback);
-    // The binding-param slot is intentionally empty, not a fallback.
-    if (fallback > 0) --fallback;
+    for (std::size_t a = 0; a < call.args.size(); ++a) {
+      if (a != call.action->binding_param) ++n;
+    }
   }
-  return fallback;
+  return n;
 }
 
 std::string CompiledQuery::describe() const {
@@ -460,11 +468,10 @@ std::string CompiledQuery::describe() const {
     }
   }
   std::size_t instrs = 0, folded = 0;
-  auto tally = [&](const std::vector<std::optional<EvalProgram>>& programs) {
+  auto tally = [&](const std::vector<EvalProgram>& programs) {
     for (const auto& p : programs) {
-      if (!p.has_value()) continue;
-      instrs += p->instruction_count();
-      folded += p->folded_nodes();
+      instrs += p.instruction_count();  // placeholders contribute nothing
+      folded += p.folded_nodes();
     }
   };
   tally(event_programs);
@@ -473,8 +480,7 @@ std::string CompiledQuery::describe() const {
   for (const auto& call : actions) tally(call.arg_programs);
   out += "  compiled evaluation: " + std::to_string(program_count()) +
          " program(s), " + std::to_string(instrs) + " instruction(s), " +
-         std::to_string(folded) + " node(s) constant-folded, " +
-         std::to_string(fallback_count()) + " fallback expr(s)\n";
+         std::to_string(folded) + " node(s) constant-folded\n";
   out += "  scan attributes (projection pushdown):\n";
   for (const auto& [alias, attrs] : needed_attrs) {
     out += "    " + alias + ": ";

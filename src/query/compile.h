@@ -14,6 +14,7 @@
 #include <set>
 
 #include "device/registry.h"
+#include "query/aggregate.h"
 #include "query/catalog.h"
 #include "query/eval_program.h"
 
@@ -22,10 +23,10 @@ namespace aorta::query {
 struct CompiledActionCall {
   const ActionDef* action = nullptr;
   std::vector<ExprPtr> args;    // evaluated per selected candidate device
-  // Compiled form of each argument, aligned with `args`; nullopt falls
-  // back to the tree walker. The binding-param argument is never
-  // evaluated (finalized per selected device), so its slot stays empty.
-  std::vector<std::optional<EvalProgram>> arg_programs;
+  // Compiled form of each argument, aligned with `args`. The binding-param
+  // argument is never evaluated (finalized per selected device), so its
+  // slot holds an empty, never-run program.
+  std::vector<EvalProgram> arg_programs;
   std::string candidate_alias;  // alias of the candidate table ("" = event table)
   std::size_t candidate_binding = 0;  // frame slot of candidate_alias
 };
@@ -79,7 +80,14 @@ struct CompiledQuery {
   std::vector<ExprPtr> join_predicates;   // everything else
 
   std::vector<CompiledActionCall> actions;
-  std::vector<ExprPtr> projections;  // non-action select items
+  // Non-action select items. SELECT * is expanded here into qualified
+  // column refs: aliases in sorted order, each table's schema order.
+  std::vector<ExprPtr> projections;
+  // Aligned with `projections`: the aggregate each item calls (kNone for a
+  // plain item) and that aggregate's argument, pointing into the item
+  // (nullptr for plain items and for count(*)).
+  std::vector<AggOp> projection_aggs;
+  std::vector<const Expr*> agg_args;
 
   // Continuous aggregation clauses, carried through from the statement
   // (the executor's AggregateCache consumes them; see DESIGN.md §15).
@@ -90,15 +98,16 @@ struct CompiledQuery {
   // ---- compiled evaluation (query/eval_program.h) -----------------------
   // Frame layout: one slot per FROM alias, in FROM order. Expressions are
   // lowered once here; per row the executor fills a BindingFrame and runs
-  // the programs instead of re-walking the trees. A nullopt program means
-  // that expression stays on the tree-walking fallback (SELECT *,
-  // aggregates, unknown functions).
+  // the programs. compile() rejects a statement with an expression that
+  // does not lower, so every per-row expression has its program.
   std::vector<std::string> binding_aliases;
   std::size_t event_binding = 0;  // frame slot of event_alias
   std::map<std::string, comm::Schema> schemas;  // owned, per alias
-  std::vector<std::optional<EvalProgram>> event_programs;   // aligned
-  std::vector<std::optional<EvalProgram>> join_programs;    // aligned
-  std::vector<std::optional<EvalProgram>> projection_programs;  // aligned
+  std::vector<EvalProgram> event_programs;  // aligned
+  std::vector<EvalProgram> join_programs;   // aligned
+  // Aligned with `projections`: a plain item's program, or an aggregate's
+  // argument program (empty and never run for count(*)).
+  std::vector<EvalProgram> projection_programs;
 
   // Attributes each scan must acquire (projection pushdown).
   std::map<std::string, std::set<std::string>> needed_attrs;
@@ -115,10 +124,11 @@ struct CompiledQuery {
   // compilation input).
   std::map<std::string, const comm::Schema*> schema_ptrs() const;
 
-  // Number of expressions that compiled to programs / stayed on the
-  // tree-walking fallback.
+  // Does the select list call an aggregate?
+  bool has_aggregates() const;
+
+  // Number of expressions lowered to programs (placeholders excluded).
   std::size_t program_count() const;
-  std::size_t fallback_count() const;
 
   // Human-readable plan description (EXPLAIN output): the event table and
   // trigger mode, predicate classification, embedded actions with their
@@ -127,8 +137,11 @@ struct CompiledQuery {
 };
 
 // Compile against the catalog (action/function names) and the registry
-// (virtual table schemas). Restrictions: at most 2 tables (the event table
-// and one candidate table — the paper's query pattern). In continuous
+// (virtual table schemas). Fails on an expression that does not lower to
+// an EvalProgram (unknown function, unknown or ambiguous column) and on a
+// malformed aggregate call (see agg_argument). Restrictions: at most 2
+// tables (the event table and one candidate table — the paper's query
+// pattern). In continuous
 // mode (`one_shot == false`), candidate-table predicates may only
 // reference non-sensory (static) attributes, because candidates are
 // evaluated from the registry cache before probing; one-shot SELECTs scan

@@ -17,9 +17,11 @@
 // returns for the same expression over equivalently-bound tuples —
 // including three-valued NULL behaviour, short-circuiting past erroring
 // operands, and error statuses (byte-identical messages). The tree walker
-// stays as the reference implementation and differential-testing oracle
-// (tests/eval_program_test.cc); expressions that do not compile (unknown
-// function or column, SELECT *) simply keep using it.
+// stays as the constant folder inside the compiler and as the reference
+// implementation and differential-testing oracle
+// (tests/eval_program_test.cc); it never runs per row. A statement with an
+// expression that does not compile (unknown function or column) is
+// rejected by query::compile().
 #pragma once
 
 #include <array>
@@ -102,10 +104,9 @@ class EvalProgram {
   // Lower `expr` against the statement's binding layout. `binding_aliases`
   // fixes the frame slot of each alias; `schemas` (alias -> schema)
   // resolves columns; `functions` pre-binds scalar-function pointers,
-  // which must outlive the program. Fails (caller falls back to the tree
-  // walker) on: unknown/ambiguous unqualified columns, aliases outside
-  // the binding layout, unknown functions, or more than kMaxBindings
-  // aliases.
+  // which must outlive the program. Fails (query::compile() then rejects
+  // the statement) on: unknown/ambiguous unqualified columns, unknown
+  // functions, or more than kMaxBindings aliases.
   static aorta::util::Result<EvalProgram> compile(
       const Expr& expr, const std::vector<std::string>& binding_aliases,
       const std::map<std::string, const comm::Schema*>& schemas,

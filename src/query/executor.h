@@ -38,14 +38,12 @@ struct QueryStats {
   std::uint64_t requests_issued = 0;   // action requests deposited
 };
 
-// Engine-wide compiled-evaluation counters: how much of the per-row
-// expression work runs through slot-resolved EvalPrograms vs the
-// tree-walking fallback (query/eval_program.h).
+// Engine-wide compiled-evaluation counters: the slot-resolved
+// EvalPrograms (query/eval_program.h) lowered at registration and their
+// per-row executions.
 struct EvalStats {
   std::uint64_t programs_compiled = 0;  // programs cached across queries
-  std::uint64_t programs_fallback = 0;  // expressions left on the tree walker
   std::uint64_t compiled_evals = 0;     // program executions (hot path)
-  std::uint64_t fallback_evals = 0;     // tree-walk executions (hot path)
 };
 
 // Predicate-index matching counters (query/predicate_index.h): how many
@@ -305,15 +303,10 @@ class ContinuousQueryExecutor {
       Aq& aq, const CompiledActionCall& call, const BindingFrame& frame,
       const comm::Schema& candidate_schema);
 
-  // Evaluate one compiled-or-fallback expression over a frame, counting
-  // into eval_stats_. The Env for the fallback path is rebuilt from the
-  // frame (rare: SELECT *, aggregates, unknown functions).
-  aorta::util::Result<device::Value> eval_expr(
-      const std::optional<EvalProgram>& program, const Expr& expr,
-      const BindingFrame& frame, const std::vector<std::string>& aliases);
-  bool eval_pred(const std::optional<EvalProgram>& program, const Expr& expr,
-                 const BindingFrame& frame,
-                 const std::vector<std::string>& aliases);
+  // Run one compiled expression over a frame, counting into eval_stats_.
+  aorta::util::Result<device::Value> eval_expr(const EvalProgram& program,
+                                               const BindingFrame& frame);
+  bool eval_pred(const EvalProgram& program, const BindingFrame& frame);
   void count_programs(const CompiledQuery& compiled);
 
   ActionOperator* operator_for(const ActionDef* action);

@@ -34,10 +34,10 @@ class FunctionRegistry {
 
 // Binding environment: table alias -> tuple for the current row
 // combination. Unqualified columns resolve against every bound tuple and
-// must be unambiguous. This is the *fallback* evaluator's environment —
-// hot paths run compiled EvalPrograms over a flat BindingFrame instead
-// (query/eval_program.h). Queries bind at most two aliases, so a small
-// sorted vector beats a node-based map.
+// must be unambiguous. This is the reference evaluator's environment —
+// query execution runs compiled EvalPrograms over a flat BindingFrame
+// instead (query/eval_program.h). Queries bind at most two aliases, so a
+// small sorted vector beats a node-based map.
 class Env {
  public:
   using Binding = std::pair<std::string, const comm::Tuple*>;

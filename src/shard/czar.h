@@ -141,13 +141,14 @@ class Czar : public net::Endpoint {
   void on_message(const net::Message& msg) override;
 
  private:
-  // Merge plan for a continuous aggregate AQ: the shape of the rows the
-  // workers ship (select-list kinds with avg folded as sum, then one
-  // appended count per avg — worker.cc's rewrite) plus what the czar
-  // needs to finalize them (avg positions + original labels, group-key
-  // column positions, the original select-list width to resize back to).
+  // Merge plan for an aggregating SELECT or AQ, built once at parse time:
+  // the shape of the rows the workers ship (select-list ops with avg
+  // folded as sum, then one appended count per avg — worker.cc's rewrite)
+  // plus what the czar needs to finalize them (avg positions + original
+  // labels, group-key column positions, the original select-list width to
+  // resize back to).
   struct AggPlan {
-    std::vector<AggKind> kinds;           // per shipped column
+    std::vector<query::AggOp> ops;        // per shipped column
     std::vector<std::size_t> avg_cols;    // original avg positions
     std::vector<std::string> avg_labels;  // original avg(...) labels
     std::vector<std::size_t> group_cols;  // kNone positions (group keys)
@@ -173,7 +174,14 @@ class Czar : public net::Endpoint {
     aorta::util::TimePoint last_nack_at;
   };
 
-  static AggPlan make_agg_plan(const query::SelectStmt& stmt);
+  // Nullopt when the select list calls no aggregate.
+  static std::optional<AggPlan> make_agg_plan(const query::SelectStmt& stmt);
+  // Fold one per-shard partial row into the accumulated row, by position.
+  static void fold_partial(const AggPlan& plan, query::Row* acc,
+                           const query::Row& row);
+  // Turn a fully folded row into the client's row: count over nothing is
+  // 0, avg = sum / count under its original label, helper columns dropped.
+  static void finalize_agg_row(const AggPlan& plan, query::Row* row);
 
   net::NodeId worker_node(int shard) const {
     return "shard-" + std::to_string(shard);
@@ -184,14 +192,15 @@ class Czar : public net::Endpoint {
                      net::RpcCallback callback);
   void send_drop(int shard, const std::string& name);
 
-  void exec_select(const query::SelectStmt& stmt, const std::string& sql,
+  void exec_select(std::optional<AggPlan> plan, const std::string& sql,
                    std::function<void(aorta::util::Result<core::ExecResult>)>
                        done);
   // Merge per-shard SELECT partials (indexed by shard; a missing shard's
-  // slot stays empty) into the final row set.
-  std::vector<query::Row> merge_select(
-      const query::SelectStmt& stmt,
-      std::vector<std::vector<query::TimestampedRow>>& partials) const;
+  // slot stays empty) into the final row set: concatenation without a
+  // plan, one folded and finalized row with one.
+  static std::vector<query::Row> merge_select(
+      const std::optional<AggPlan>& plan,
+      std::vector<std::vector<query::TimestampedRow>>& partials);
 
   // In-seq-order consumption of one worker message.
   void consume(int shard, const net::Message& msg);

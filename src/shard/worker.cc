@@ -1,5 +1,7 @@
 #include "shard/worker.h"
 
+#include <algorithm>
+
 #include "core/builtins.h"
 #include "util/logging.h"
 
@@ -17,31 +19,42 @@ namespace {
 // and WINDOW clauses. One-shot SELECT fragments merge the partials at the
 // reply barrier; continuous aggregate fragments per window instant behind
 // the czar's merge frontier (Czar::AggPlan mirrors this column layout).
-query::SelectStmt rewrite_avg_to_partials(const query::SelectStmt& stmt) {
-  query::SelectStmt out;
-  out.from = stmt.from;
-  if (stmt.where != nullptr) out.where = stmt.where->clone();
-  for (const auto& g : stmt.group_by) out.group_by.push_back(g->clone());
-  out.window_s = stmt.window_s;
-  out.every_s = stmt.every_s;
+// The wire keeps this shape, not AggPartials: message size sets the
+// backplane's serialization delay, so the bytes must not change. Returns
+// false (and leaves *out alone) when the select list has no avg().
+bool rewrite_avg_to_partials(const query::SelectStmt& stmt,
+                             query::SelectStmt* out) {
+  auto is_avg = [](const query::ExprPtr& item) {
+    return query::agg_op(*item) == query::AggOp::kAvg;
+  };
+  if (std::none_of(stmt.select_list.begin(), stmt.select_list.end(),
+                   is_avg)) {
+    return false;
+  }
+  out->from = stmt.from;
+  if (stmt.where != nullptr) out->where = stmt.where->clone();
+  for (const auto& g : stmt.group_by) out->group_by.push_back(g->clone());
+  out->window_s = stmt.window_s;
+  out->every_s = stmt.every_s;
   std::vector<query::ExprPtr> counts;
   for (const auto& item : stmt.select_list) {
-    if (agg_kind(*item) == AggKind::kAvg) {
-      std::vector<query::ExprPtr> sum_args;
-      std::vector<query::ExprPtr> count_args;
-      for (const auto& a : item->args) {
-        sum_args.push_back(a->clone());
-        count_args.push_back(a->clone());
-      }
-      out.select_list.push_back(
-          query::Expr::make_func("sum", std::move(sum_args)));
-      counts.push_back(query::Expr::make_func("count", std::move(count_args)));
-    } else {
-      out.select_list.push_back(item->clone());
+    if (!is_avg(item)) {
+      out->select_list.push_back(item->clone());
+      continue;
     }
+    std::vector<query::ExprPtr> sum_args;
+    std::vector<query::ExprPtr> count_args;
+    for (const auto& a : item->args) {
+      sum_args.push_back(a->clone());
+      count_args.push_back(a->clone());
+    }
+    out->select_list.push_back(query::Expr::make_func(
+        query::agg_name(query::AggOp::kSum), std::move(sum_args)));
+    counts.push_back(query::Expr::make_func(
+        query::agg_name(query::AggOp::kCount), std::move(count_args)));
   }
-  for (auto& c : counts) out.select_list.push_back(std::move(c));
-  return out;
+  for (auto& c : counts) out->select_list.push_back(std::move(c));
+  return true;
 }
 
 }  // namespace
@@ -145,7 +158,6 @@ Worker::Worker(core::Aorta* host, Options options)
   const query::EvalStats& es = executor_->eval_stats();
   metrics_.enroll_counter("eval.programs_compiled", &es.programs_compiled);
   metrics_.enroll_counter("eval.compiled_evals", &es.compiled_evals);
-  metrics_.enroll_counter("eval.fallback_evals", &es.fallback_evals);
   executor_->set_index_metrics(metrics_.registry(),
                                metrics_.prefix() + "eval.index.");
   executor_->set_agg_metrics(metrics_.registry(),
@@ -413,20 +425,14 @@ void Worker::handle_register(const net::Message& msg) {
   // Continuous aggregates ship per-shard window partials; avg() fragments
   // are rewritten to (sum, count) partials the czar finalizes per window
   // instant (the one-shot path's rewrite, behind the merge frontier).
-  bool has_avg = false;
-  (void)select_has_aggregates(stmt.value().create_aq.select, &has_avg);
-  Status registered;
-  if (has_avg) {
-    query::SelectStmt rewritten =
-        rewrite_avg_to_partials(stmt.value().create_aq.select);
-    registered = executor_->register_aq(spec.name,
-                                        stmt.value().create_aq.epoch_s,
-                                        rewritten, spec.sql, std::move(hooks));
-  } else {
-    registered = executor_->register_aq(
-        spec.name, stmt.value().create_aq.epoch_s,
-        stmt.value().create_aq.select, spec.sql, std::move(hooks));
-  }
+  query::SelectStmt rewritten;
+  const query::SelectStmt& select =
+      rewrite_avg_to_partials(stmt.value().create_aq.select, &rewritten)
+          ? rewritten
+          : stmt.value().create_aq.select;
+  Status registered =
+      executor_->register_aq(spec.name, stmt.value().create_aq.epoch_s,
+                             select, spec.sql, std::move(hooks));
   if (!registered.is_ok()) {
     ++stats_.bad_requests;
     reply_error(msg, registered.to_string());
@@ -455,21 +461,16 @@ void Worker::run_once_select(const net::Message& msg,
   // avg() cannot be merged from per-shard averages, but it *is* mergeable
   // from (sum, count) partials (see rewrite_avg_to_partials). The czar
   // finalizes sum/count and drops the helper columns at the merge barrier.
-  bool has_avg = false;
-  (void)select_has_aggregates(stmt, &has_avg);
   query::SelectStmt rewritten;
-  const query::SelectStmt* to_run = &stmt;
-  if (has_avg) {
-    rewritten = rewrite_avg_to_partials(stmt);
-    to_run = &rewritten;
-  }
+  const query::SelectStmt& to_run =
+      rewrite_avg_to_partials(stmt, &rewritten) ? rewritten : stmt;
 
   auto alive = alive_;
   // run_select compiles synchronously (cloning the statement), so the
   // rewritten form may live on this stack; completion fires once
   // acquisition finishes in simulated time.
   executor_->run_select(
-      *to_run, [this, alive, msg](Result<std::vector<query::Row>> outcome) {
+      to_run, [this, alive, msg](Result<std::vector<query::Row>> outcome) {
         if (!*alive) return;
         if (!outcome.is_ok()) {
           reply_error(msg, outcome.status().to_string());

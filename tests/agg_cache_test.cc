@@ -408,5 +408,64 @@ TEST(AggCacheDeterminismTest, AblationMatchesShardedCacheByteForByte) {
   EXPECT_EQ(cached, ablated);
 }
 
+// Sharding must not change what a continuous windowed aggregate delivers:
+// each worker ships per-shard window partials (avg as sum + count) and the
+// czar folds and finalizes them per window instant. The motes read
+// integer temperatures, so every per-shard sum is exact and the merged
+// rows must equal the single-shard rows exactly.
+std::vector<std::string> run_windowed_groups(int num_shards) {
+  core::Config config;
+  config.seed = 5;
+  core::Aorta sys(config);
+  ServiceConfig cfg;
+  cfg.num_shards = num_shards;
+  cfg.mailbox_capacity = 1 << 20;
+  QueryService service(&sys, cfg);
+
+  for (int i = 0; i < 9; ++i) {
+    std::string id = "m" + std::to_string(i);
+    EXPECT_TRUE(
+        service.plane()->add_mote(id, {double(i), 0, 1}, 1 + i % 3).is_ok());
+    devices::Mica2Mote* mote = service.plane()->mote(id);
+    mote->reliability().glitch_prob = 0.0;
+    (void)mote->set_signal("temp", devices::constant_signal(11.0 + 3 * i));
+    (void)sys.network().set_link(id, Plane::backplane());
+  }
+
+  SessionId id = service.connect("acme");
+  EXPECT_TRUE(service
+                  .submit(id, "CREATE AQ w AS SELECT s.hops, avg(s.temp), "
+                              "min(s.temp), max(s.temp), count(*) "
+                              "FROM sensor s WHERE s.temp > 12 "
+                              "GROUP BY s.hops WINDOW 4s EVERY 2s")
+                  .is_ok());
+  sys.run_for(Duration::seconds(15.0));
+
+  std::vector<std::string> rows;
+  for (const Delivery& d : service.session(id)->drain()) {
+    EXPECT_NE(d.kind, Delivery::Kind::kError) << d.message;
+    if (d.kind != Delivery::Kind::kRow) continue;
+    for (const query::Row& row : d.rows) {
+      std::string key = d.query;
+      for (const auto& [name, value] : row) {
+        key += "|" + name + "=" + value_key(value);
+      }
+      rows.push_back(key);
+    }
+  }
+  return rows;
+}
+
+TEST(AggCacheShardingTest, WindowedGroupAggregatesMatchOneShardExactly) {
+  std::vector<std::string> one = run_windowed_groups(1);
+  std::vector<std::string> two = run_windowed_groups(2);
+  ASSERT_FALSE(one.empty());
+  EXPECT_EQ(one, two);
+  // Three groups per emitted window, every row carrying all four ops.
+  EXPECT_EQ(one.size() % 3, 0u);
+  EXPECT_NE(one.front().find("avg(s.temp)="), std::string::npos);
+  EXPECT_EQ(one.front().find("=null"), std::string::npos) << one.front();
+}
+
 }  // namespace
 }  // namespace aorta

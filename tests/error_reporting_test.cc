@@ -1,5 +1,6 @@
 // Negative tests for error reporting at the declarative interface:
-// parser diagnostics must point at the offending statement fragment, and
+// parser diagnostics must point at the offending statement fragment,
+// statements calling unknown functions are rejected up front, and
 // malformed XML profile documents must fail loudly with element/attribute
 // context instead of silently defaulting fields.
 #include <gtest/gtest.h>
@@ -9,6 +10,7 @@
 #include "core/aorta.h"
 #include "device/profile_io.h"
 #include "query/parser.h"
+#include "shard/plane.h"
 #include "util/xml.h"
 
 namespace aorta {
@@ -50,6 +52,72 @@ TEST(ParserDiagnosticsTest, LongStatementsTruncateTheFragment) {
   ASSERT_FALSE(result.is_ok());
   EXPECT_NE(result.status().message().find("...'"), std::string::npos)
       << result.status().message();
+}
+
+// ------------------------------------------------ unknown functions
+//
+// A call to a function the catalog does not know is rejected when the
+// statement compiles, naming the function — not accepted and evaluated to
+// NULL on every row.
+
+bool names_function(const util::Status& status) {
+  return status.message().find("unknown function: nosuchfn") !=
+         std::string::npos;
+}
+
+TEST(UnknownFunctionTest, OneShotSelectIsRejected) {
+  core::Aorta sys(core::Config{});
+  ASSERT_TRUE(sys.add_mote("m1", {1, 0, 1}).is_ok());
+  auto r = sys.exec("SELECT nosuchfn(s.temp) FROM sensor s");
+  ASSERT_FALSE(r.is_ok());
+  EXPECT_TRUE(names_function(r.status())) << r.status().to_string();
+  // In a predicate, too.
+  auto where = sys.exec("SELECT s.id FROM sensor s WHERE nosuchfn(s.temp) > 1");
+  ASSERT_FALSE(where.is_ok());
+  EXPECT_TRUE(names_function(where.status())) << where.status().to_string();
+}
+
+TEST(UnknownFunctionTest, CreateAqIsRejectedAndNotRegistered) {
+  core::Aorta sys(core::Config{});
+  ASSERT_TRUE(sys.add_mote("m1", {1, 0, 1}).is_ok());
+  auto r = sys.exec("CREATE AQ q AS SELECT nosuchfn(s.temp) FROM sensor s");
+  ASSERT_FALSE(r.is_ok());
+  EXPECT_TRUE(names_function(r.status())) << r.status().to_string();
+  EXPECT_TRUE(sys.executor().aq_names().empty());
+  // Inside an aggregate argument as well.
+  auto agg = sys.exec(
+      "CREATE AQ w AS SELECT sum(nosuchfn(s.temp)) FROM sensor s WINDOW 2s");
+  ASSERT_FALSE(agg.is_ok());
+  EXPECT_TRUE(names_function(agg.status())) << agg.status().to_string();
+  EXPECT_TRUE(sys.executor().aq_names().empty());
+}
+
+TEST(UnknownFunctionTest, ShardedPlaneReturnsTheWorkerCompileError) {
+  core::Aorta sys(core::Config{});
+  shard::Plane::Options options;
+  options.num_shards = 2;
+  shard::Plane plane(&sys, options);
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_TRUE(plane.add_mote("m" + std::to_string(i), {double(i), 0, 1})
+                    .is_ok());
+  }
+  auto run = [&](const std::string& sql) {
+    util::Result<core::ExecResult> out = util::internal_error("not called");
+    plane.exec_async(sql, {}, [&](util::Result<core::ExecResult> r) {
+      out = std::move(r);
+    });
+    sys.run_for(util::Duration::seconds(3.0));
+    return out;
+  };
+
+  auto select = run("SELECT nosuchfn(s.temp) FROM sensor s");
+  ASSERT_FALSE(select.is_ok());
+  EXPECT_TRUE(names_function(select.status())) << select.status().to_string();
+
+  auto aq = run("CREATE AQ q AS SELECT nosuchfn(s.temp) FROM sensor s");
+  ASSERT_FALSE(aq.is_ok());
+  EXPECT_TRUE(names_function(aq.status())) << aq.status().to_string();
+  EXPECT_TRUE(plane.czar().aq_names().empty());
 }
 
 // ------------------------------------------------- strict XML numerics

@@ -1,5 +1,4 @@
-// Tests for device-type XML bundles (profile persistence) and the
-// real-time event loop driver.
+// Tests for device-type XML bundles (profile persistence).
 #include <gtest/gtest.h>
 
 #include "core/aorta.h"
@@ -8,12 +7,9 @@
 #include "devices/mote.h"
 #include "devices/phone.h"
 #include "devices/smart_lock.h"
-#include "util/realtime.h"
 
 namespace aorta {
 namespace {
-
-using util::Duration;
 
 TEST(ProfileIoTest, EveryBuiltinTypeRoundTrips) {
   for (const auto& info :
@@ -80,35 +76,6 @@ TEST(ProfileIoTest, FacadeExportsAndReimports) {
   EXPECT_FALSE(sys.register_type_from_xml(xml).is_ok());
   // Garbage rejected.
   EXPECT_FALSE(sys.register_type_from_xml("not xml").is_ok());
-}
-
-// ----------------------------------------------------------- real time
-
-TEST(RealTimeTest, PacesSimulatedTimeAgainstWallClock) {
-  util::SimClock clock;
-  util::EventLoop loop(&clock);
-  int fired = 0;
-  loop.schedule(Duration::millis(100), [&]() { ++fired; });
-  loop.schedule(Duration::millis(900), [&]() { ++fired; });
-
-  // 1 simulated second at 50x speed: ~20 ms wall.
-  util::RealTimeOptions options;
-  options.speed = 50.0;
-  options.quantum = Duration::millis(20);
-  double wall_s = util::run_realtime(loop, Duration::seconds(1), options);
-
-  EXPECT_EQ(fired, 2);
-  EXPECT_EQ(loop.now().to_micros(), 1'000'000);
-  EXPECT_GE(wall_s, 0.015);  // paced, not instantaneous
-  EXPECT_LT(wall_s, 2.0);    // and not real time either
-}
-
-TEST(RealTimeTest, ZeroSpanReturnsImmediately) {
-  util::SimClock clock;
-  util::EventLoop loop(&clock);
-  double wall_s = util::run_realtime(loop, Duration::zero());
-  EXPECT_LT(wall_s, 0.1);
-  EXPECT_EQ(loop.now(), util::TimePoint::origin());
 }
 
 }  // namespace

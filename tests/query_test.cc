@@ -2,6 +2,7 @@
 // evaluation and query compilation.
 #include <gtest/gtest.h>
 
+#include "core/builtins.h"
 #include "devices/camera.h"
 #include "devices/mote.h"
 #include "devices/phone.h"
@@ -272,6 +273,9 @@ struct CompileFixture : public ::testing::Test {
     (void)registry.register_type(devices::camera_type_info());
     (void)registry.register_type(devices::sensor_type_info());
     (void)registry.register_type(devices::phone_type_info());
+    // The engine's scalar functions (coverage, distance, ...): compile()
+    // rejects calls to functions the catalog does not know.
+    core::register_builtin_function_library(&catalog, &registry);
 
     // Minimal photo action for binding checks.
     ActionDef photo;
@@ -383,7 +387,8 @@ TEST_F(CompileFixture, RejectsBadQueries) {
 }
 
 TEST_F(CompileFixture, UnknownFunctionInSelectListBecomesProjection) {
-  // Non-action function calls stay projections (evaluated per row).
+  // Calls to functions that are not actions stay projections (evaluated
+  // per row).
   auto q = compile_sql("SELECT distance(s.loc, s.loc) FROM sensor s");
   ASSERT_TRUE(q.is_ok());
   EXPECT_TRUE(q.value().actions.empty());

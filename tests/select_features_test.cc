@@ -2,6 +2,10 @@
 // expression projections, and multi-action continuous queries.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "core/aorta.h"
 
 namespace aorta {
@@ -106,6 +110,66 @@ TEST_F(SelectFixture, StarProjectionListsAllColumns) {
   // One column per catalog attribute.
   EXPECT_EQ(r->rows[0].size(),
             devices::sensor_type_info().catalog.attrs().size());
+}
+
+// SELECT * expands at compile time into qualified column refs: aliases in
+// sorted order, each table's attributes in catalog order, labelled
+// "alias.attr". One-shot SELECTs and continuous queries share the rule, so
+// a CREATE AQ ... SELECT * delivers every attribute too.
+TEST_F(SelectFixture, StarExpandsToEveryQualifiedColumnInBothModes) {
+  const device::DeviceTypeInfo sensor = devices::sensor_type_info();
+  const device::DeviceTypeInfo camera = devices::camera_type_info();
+  std::vector<std::string> sensor_labels;
+  for (const auto& attr : sensor.catalog.attrs()) {
+    sensor_labels.push_back("s." + attr.name);
+  }
+  auto labels = [](const query::Row& row) {
+    std::vector<std::string> out;
+    for (const auto& [name, value] : row) out.push_back(name);
+    return out;
+  };
+
+  auto r = sys.exec("SELECT * FROM sensor s WHERE s.id = 'm2'");
+  ASSERT_TRUE(r.is_ok()) << r.status().to_string();
+  ASSERT_EQ(r->rows.size(), 1u);
+  EXPECT_EQ(labels(r->rows[0]), sensor_labels);
+  EXPECT_TRUE(device::value_equal(r->rows[0][0].second,
+                                  Value{std::string("m2")}));
+
+  // Two tables: the camera alias "a" sorts before "s", whatever the FROM
+  // clause order.
+  ASSERT_TRUE(sys.add_camera("cam1", "10.0.0.9", {{0, 0, 3}, 0.0}).is_ok());
+  sys.camera("cam1")->reliability().glitch_prob = 0.0;
+  auto joined = sys.exec("SELECT * FROM sensor s, camera a WHERE s.id = 'm2'");
+  ASSERT_TRUE(joined.is_ok()) << joined.status().to_string();
+  ASSERT_EQ(joined->rows.size(), 1u);
+  std::vector<std::string> join_labels;
+  for (const auto& attr : camera.catalog.attrs()) {
+    join_labels.push_back("a." + attr.name);
+  }
+  join_labels.insert(join_labels.end(), sensor_labels.begin(),
+                     sensor_labels.end());
+  EXPECT_EQ(labels(joined->rows[0]), join_labels);
+
+  // Continuous: a level-triggered AQ delivers the same columns each epoch.
+  ASSERT_TRUE(
+      sys.exec("CREATE AQ star AS SELECT * FROM sensor s WHERE s.id = 'm2'")
+          .is_ok());
+  sys.run_for(Duration::seconds(3));
+  auto rows = sys.executor().recent_results("star");
+  ASSERT_FALSE(rows.empty());
+  for (const auto& row : rows) {
+    EXPECT_EQ(labels(row.row), sensor_labels);
+    EXPECT_TRUE(device::value_equal(row.row[0].second,
+                                    Value{std::string("m2")}));
+    double temp = 0;
+    const std::size_t temp_col = static_cast<std::size_t>(
+        std::find(sensor_labels.begin(), sensor_labels.end(), "s.temp") -
+        sensor_labels.begin());
+    ASSERT_LT(temp_col, row.row.size());
+    ASSERT_TRUE(device::value_as_double(row.row[temp_col].second, &temp));
+    EXPECT_DOUBLE_EQ(temp, 22.0);
+  }
 }
 
 TEST_F(SelectFixture, OneShotJoinMayUseSensoryAttrsOnBothTables) {

@@ -94,9 +94,8 @@ TEST(ServerDeterminismTest, SharedScanPlaneIsByteIdentical) {
   // The workload mixes sensor SELECTs and AQs, so the broker must have
   // issued sensory RPCs over the sensor table.
   EXPECT_NE(a.stats_json.find("\"sensor\""), std::string::npos);
-  // Compiled-evaluation counters render too, and the AQ predicates are
-  // simple enough that they must all have compiled (hot path, not the
-  // tree-walking fallback).
+  // Compiled-evaluation counters render too, and the AQ predicates run
+  // as compiled programs.
   EXPECT_NE(a.stats_json.find("\"eval\""), std::string::npos);
   EXPECT_NE(a.stats_json.find("\"compiled_evals\""), std::string::npos);
   EXPECT_EQ(a.stats_json.find("\"compiled_evals\": 0,"), std::string::npos);

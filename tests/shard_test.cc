@@ -161,19 +161,16 @@ TEST(FragmentTest, AggregateClassification) {
   ASSERT_TRUE(stmt.is_ok());
   const auto& items = stmt.value().select.select_list;
   ASSERT_EQ(items.size(), 5u);
-  EXPECT_EQ(shard::agg_kind(*items[0]), shard::AggKind::kCount);
-  EXPECT_EQ(shard::agg_kind(*items[1]), shard::AggKind::kSum);
-  EXPECT_EQ(shard::agg_kind(*items[2]), shard::AggKind::kMin);
-  EXPECT_EQ(shard::agg_kind(*items[3]), shard::AggKind::kMax);
-  EXPECT_EQ(shard::agg_kind(*items[4]), shard::AggKind::kNone);
+  EXPECT_EQ(query::agg_op(*items[0]), query::AggOp::kCount);
+  EXPECT_EQ(query::agg_op(*items[1]), query::AggOp::kSum);
+  EXPECT_EQ(query::agg_op(*items[2]), query::AggOp::kMin);
+  EXPECT_EQ(query::agg_op(*items[3]), query::AggOp::kMax);
+  EXPECT_EQ(query::agg_op(*items[4]), query::AggOp::kNone);
 
-  bool has_avg = false;
-  EXPECT_TRUE(shard::select_has_aggregates(stmt.value().select, &has_avg));
-  EXPECT_FALSE(has_avg);
-  auto avg = query::parse("SELECT avg(s.temp) FROM sensor s");
+  auto avg = query::parse("SELECT AVG(s.temp) FROM sensor s");
   ASSERT_TRUE(avg.is_ok());
-  EXPECT_TRUE(shard::select_has_aggregates(avg.value().select, &has_avg));
-  EXPECT_TRUE(has_avg);
+  EXPECT_EQ(query::agg_op(*avg.value().select.select_list[0]),
+            query::AggOp::kAvg);
 }
 
 // -------------------------------------------------------------- merger
