@@ -97,18 +97,26 @@ void CommModule::read_attr(const device::DeviceId& id, const std::string& attr,
                   "read_attr(" + attr + ") on " + id + ": " + msg.field("error"))));
               return;
             }
-            // Prefer the typed duplicates; fall back to text decoding.
-            if (msg.fields.count("value_double") > 0) {
-              done(Result<Value>(Value{msg.field_double("value_double")}));
-            } else if (msg.fields.count("value_int") > 0) {
-              done(Result<Value>(Value{msg.field_int("value_int")}));
-            } else {
-              std::string text = msg.field("value");
-              if (!text.empty() && text.front() == '\'' && text.back() == '\'') {
-                done(Result<Value>(Value{text.substr(1, text.size() - 2)}));
-              } else {
-                done(Result<Value>(Value{text}));
-              }
+            // The device sends each value once, tagged with its type. Only
+            // doubles, ints and strings are sensory; any other tag (or
+            // none) lands in the default case.
+            device::AttrType type = device::AttrType::kBool;
+            (void)device::attr_type_from_name(msg.field("type"), &type);
+            switch (type) {
+              case device::AttrType::kDouble:
+                done(Result<Value>(Value{msg.field_double("value")}));
+                return;
+              case device::AttrType::kInt:
+                done(Result<Value>(Value{msg.field_int("value")}));
+                return;
+              case device::AttrType::kString:
+                done(Result<Value>(Value{msg.field("value")}));
+                return;
+              default:
+                done(Result<Value>(aorta::util::internal_error(
+                    "read_attr(" + attr + ") on " + id +
+                    ": unsupported value type '" + msg.field("type") + "'")));
+                return;
             }
           });
 }

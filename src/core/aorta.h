@@ -1,11 +1,14 @@
 // Aorta: the public facade of the pervasive query processing framework.
 //
-// Assembles the whole stack from Section 2.1's architecture:
+// Presents the whole stack from Section 2.1's architecture:
 //   declarative interface (exec / SQL)          <- top layer
 //   action-oriented query engine (src/query)    <- middle layer
 //   uniform data communication layer (src/comm) <- bottom layer
 // on top of the simulated device network (src/net, src/devices) that
-// replaces the paper's physical pervasive lab.
+// replaces the paper's physical pervasive lab. The two lower layers are
+// one core::Engine on the control loop (core/engine.h); Aorta adds the
+// declarative interface, the parallel runtime, fabric, clock, tracers,
+// metrics and the virtual file store.
 //
 // Typical use:
 //   aorta::core::Aorta sys(aorta::core::Config{});
@@ -21,94 +24,12 @@
 #include <memory>
 #include <string>
 
-#include "comm/comm_module.h"
-#include "core/health.h"
-#include "devices/camera.h"
-#include "devices/mote.h"
-#include "devices/phone.h"
-#include "net/fabric.h"
+#include "core/engine.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
-#include "query/executor.h"
 #include "query/parser.h"
-#include "sync/lock_manager.h"
-#include "sync/prober.h"
-#include "util/fault_plan.h"
 #include "util/loop_group.h"
 
 namespace aorta::core {
-
-struct Config {
-  std::uint64_t seed = 42;
-  aorta::util::Duration epoch = aorta::util::Duration::seconds(1.0);
-  // One of the Section 6.3 algorithms: LERFA+SRFE, SRFAE, LS, SA, RANDOM.
-  std::string scheduler = "SRFAE";
-  // Device synchronization switches (Section 6.2's ablation).
-  bool use_probing = true;
-  bool use_locks = true;
-  // Failover: how many times a failed action request is rescheduled on its
-  // remaining candidate devices.
-  int max_retries = 1;
-  // Shared data-acquisition plane (comm::ScanBroker). When on, co-located
-  // queries over the same device table share one batched sensory sweep
-  // per epoch and concurrent (device, attr) reads are deduplicated; off
-  // reverts to per-query private scans (the pre-broker baseline, kept for
-  // bench_shared_scan's ablation).
-  bool shared_scans = true;
-  // Sensory values younger than this are served from the broker's cache
-  // instead of a new radio round trip. Zero disables caching (in-flight
-  // dedup still applies).
-  aorta::util::Duration scan_freshness = aorta::util::Duration::zero();
-  // Predicate-index matching (query/predicate_index.h): registered AQs'
-  // compiled event predicates are indexed per device type so each swept
-  // tuple evaluates only candidate queries — sub-linear in the AQ count.
-  // false reverts to exhaustive per-AQ evaluation (byte-identical output;
-  // the ablation arm of bench_eval's matching sweep).
-  bool predicate_index = true;
-  // Shared-aggregate cache (query/agg_cache.h): continuous aggregate AQs
-  // with the same canonical query hash (normalized predicates + window
-  // shape, GROUP BY excluded) share one broker subscription and one
-  // incremental window accumulation, so N co-hashed dashboard tenants pay
-  // one evaluation per tuple instead of N. false reverts to a private
-  // cache entry per AQ (byte-identical output; bench_agg_cache's ablation
-  // arm).
-  bool aggregate_cache = true;
-  // Device health supervision: per-device Healthy/Suspect/Quarantined
-  // state machine fed by read/probe/action outcomes. Quarantined devices
-  // are skipped by broker sweeps and action scheduling and re-probed with
-  // capped exponential backoff instead of every epoch.
-  bool health_supervision = true;
-  HealthOptions health;
-  // Degraded-mode results: a quarantined device's sensory attrs are served
-  // last-known-good up to this age, with the tuples (and their rows and
-  // server deliveries) tagged degraded. Zero disables degraded serving.
-  aorta::util::Duration degraded_staleness = aorta::util::Duration::seconds(30.0);
-  // Per-query span tracing (src/obs): when on, pipeline stages record
-  // virtual-time spans into a ring buffer of `trace_capacity` spans,
-  // exportable as Chrome trace-event JSON (Aorta::tracer()). Off by
-  // default: instrumentation sites then cost one branch.
-  bool tracing = false;
-  std::size_t trace_capacity = obs::Tracer::kDefaultCapacity;
-  // Parallel deterministic runtime (DESIGN.md §12). `runtime_threads` is
-  // the number of OS threads driving the per-shard event loops between
-  // epoch barriers: 1 keeps the barrier schedule but runs loops serially
-  // (still byte-identical to any other thread count); 0 means hardware
-  // concurrency. With no worker loops (unsharded) the group degenerates to
-  // the single global loop regardless of this setting.
-  int runtime_threads = 1;
-  // Epoch-barrier lookahead quantum. Must not exceed the minimum
-  // cross-loop link latency — the czar<->worker backplane's 200us one-way
-  // hop — or cross-loop deliveries would land inside an open window and
-  // get clamped to the next barrier (counted runtime.<i>.posts_clamped).
-  aorta::util::Duration runtime_quantum = aorta::util::Duration::micros(400);
-  // Reliable backplane (DESIGN.md §14): czar->worker fragment RPCs retry
-  // with capped exponential backoff behind per-peer budgets and circuit
-  // breakers; workers dedup requests by idempotency key and retain
-  // sequenced result messages for NACK-driven retransmission until the
-  // czar acks them. false restores the fail-fast pre-§14 path (single
-  // attempt, no acks/replay) — the chaos benches' ablation arm.
-  bool reliable_backplane = true;
-};
 
 // Result of exec(): DDL statements return a message; SELECT returns rows.
 struct ExecResult {
@@ -210,18 +131,21 @@ class Aorta {
   // host engine); the sharded plane adds one loop per worker.
   aorta::util::LoopGroup& runtime() { return *runtime_; }
   net::Fabric& fabric() { return *fabric_; }
-  net::Network& network() { return *network_; }
-  device::DeviceRegistry& registry() { return *registry_; }
-  comm::CommLayer& comm() { return *comm_; }
-  comm::ScanBroker& scan_broker() { return *scan_broker_; }
-  const comm::ScanBroker& scan_broker() const { return *scan_broker_; }
-  sync::LockManager& locks() { return *locks_; }
-  sync::Prober& prober() { return *prober_; }
+  // The host's vertical stack on the control loop (core/engine.h); the
+  // accessors below forward to it.
+  Engine& engine() { return *engine_; }
+  net::Network& network() { return engine_->network(); }
+  device::DeviceRegistry& registry() { return engine_->registry(); }
+  comm::CommLayer& comm() { return engine_->comm(); }
+  comm::ScanBroker& scan_broker() { return engine_->scan_broker(); }
+  const comm::ScanBroker& scan_broker() const { return engine_->scan_broker(); }
+  sync::LockManager& locks() { return engine_->locks(); }
+  sync::Prober& prober() { return engine_->prober(); }
   // nullptr when Config::health_supervision is off.
-  HealthSupervisor* health() { return health_.get(); }
-  const HealthSupervisor* health() const { return health_.get(); }
-  query::Catalog& catalog() { return *catalog_; }
-  query::ContinuousQueryExecutor& executor() { return *executor_; }
+  HealthSupervisor* health() { return engine_->health(); }
+  const HealthSupervisor* health() const { return engine_->health(); }
+  query::Catalog& catalog() { return engine_->catalog(); }
+  query::ContinuousQueryExecutor& executor() { return engine_->executor(); }
   // Observability: the registry every subsystem's counters are enrolled on
   // (the server layer adds its own sections), and the span tracer.
   obs::MetricsRegistry& metrics() { return metrics_; }
@@ -252,9 +176,6 @@ class Aorta {
   const Config& config() const { return config_; }
 
  private:
-  void register_builtin_types();
-  void register_builtin_functions();
-  void register_builtin_actions();
   // Synchronous statement kinds (everything but SELECT).
   aorta::util::Result<ExecResult> exec_ddl(query::Statement& s,
                                            const std::string& sql,
@@ -276,40 +197,8 @@ class Aorta {
   aorta::util::EventLoop* loop_ = nullptr;
   std::vector<const obs::Tracer*> tracers_;
   std::vector<std::unique_ptr<obs::LatencyHistogram>> stall_hists_;
-  std::unique_ptr<net::Network> network_;
-  std::unique_ptr<device::DeviceRegistry> registry_;
-  std::unique_ptr<comm::CommLayer> comm_;
-  // Declared after comm_ and before executor_ so the executor (which holds
-  // subscriptions) is destroyed first.
-  std::unique_ptr<comm::ScanBroker> scan_broker_;
-  std::unique_ptr<sync::LockManager> locks_;
-  std::unique_ptr<sync::Prober> prober_;
-  std::unique_ptr<HealthSupervisor> health_;
-  std::unique_ptr<query::Catalog> catalog_;
-  std::unique_ptr<query::ContinuousQueryExecutor> executor_;
+  std::unique_ptr<Engine> engine_;
   std::map<std::string, std::string> virtual_files_;
 };
-
-// Schedule a validated fault plan's events on `loop` relative to the
-// current simulated time. `find_device` resolves device targets (it may
-// search several registries — the sharded plane passes a plane-wide
-// lookup); link-level events (partition/heal/loss) are resolved against
-// `network` directly. Events carrying a shard index are rejected: callers
-// that understand shards (shard::Plane) must rewrite them to node-level
-// events before delegating here.
-aorta::util::Status schedule_fault_plan(
-    const util::FaultPlan& plan, aorta::util::EventLoop* loop,
-    net::Network* network,
-    std::function<device::Device*(const device::DeviceId&)> find_device);
-
-// Schedule one (already validated) fault event on `loop`, mutating
-// `network` / the device returned by `find_device` when it fires. Under
-// the parallel runtime the sharded plane calls this per event with the
-// *owning* worker's loop and segment, so fault state (partition sets,
-// link models, device power) is only ever touched from its home loop.
-void schedule_fault_event(
-    const util::FaultEvent& e, aorta::util::EventLoop* loop,
-    net::Network* network,
-    std::function<device::Device*(const device::DeviceId&)> find_device);
 
 }  // namespace aorta::core

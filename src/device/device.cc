@@ -60,19 +60,23 @@ void Device::on_message(const net::Message& msg) {
       send_reply(msg, std::move(reply));
       return;
     }
+    // One encoding per value: a type tag plus the value in that type's
+    // wire form (the comm layer switches on the tag). Sensory attributes
+    // are doubles, ints or strings.
     auto value = read_attribute(attr);
-    if (value.is_ok()) {
-      reply.set("ok", "1");
-      reply.set("value", value_to_string(value.value()));
-      // Typed duplicates make parsing on the engine side lossless.
-      if (const double* d = std::get_if<double>(&value.value())) {
-        reply.set_double("value_double", *d);
-      } else if (const std::int64_t* i = std::get_if<std::int64_t>(&value.value())) {
-        reply.set_int("value_int", *i);
-      }
-    } else {
+    const Value* v = value.is_ok() ? &value.value() : nullptr;
+    if (v == nullptr) {
       reply.set("ok", "0");
       reply.set("error", value.status().to_string());
+    } else if (const double* d = std::get_if<double>(v)) {
+      reply.set("ok", "1").set("type", "double").set_double("value", *d);
+    } else if (const std::int64_t* i = std::get_if<std::int64_t>(v)) {
+      reply.set("ok", "1").set("type", "int").set_int("value", *i);
+    } else if (const std::string* str = std::get_if<std::string>(v)) {
+      reply.set("ok", "1").set("type", "string").set("value", *str);
+    } else {
+      reply.set("ok", "0");
+      reply.set("error", "attribute " + attr + " has no wire encoding");
     }
     send_reply(msg, std::move(reply));
     return;

@@ -357,6 +357,11 @@ Result<CompiledQuery> compile(const SelectStmt& stmt, const Catalog& catalog,
     RETURN_IF_ERROR_R(lower(*p, &q.join_programs));
   }
   for (const auto& p : q.projections) {
+    // The WHERE clause's name check: an unknown alias, or a column its
+    // alias's schema lacks, rejects the statement instead of compiling to
+    // a NULL load.
+    std::set<std::string> aliases;
+    RETURN_IF_ERROR_R(collect_aliases(*p, schemas, &aliases));
     const AggOp op = agg_op(*p);
     const Expr* arg = nullptr;
     if (op != AggOp::kNone) RETURN_IF_ERROR_R(agg_argument(*p, &arg));

@@ -340,6 +340,114 @@ TEST(FaultPlanShardTest, ShardCrashIsRewrittenToWorkerPartition) {
   EXPECT_TRUE(plane.czar().worker_live(0));
 }
 
+// The plane places plans through the same validation as the unsharded
+// system: an unknown device or an unattached node rejects the whole plan
+// with Aorta::apply_fault_plan's error text, and nothing is scheduled.
+TEST(FaultPlanShardTest, PlaneRejectsUnknownTargetsWhole) {
+  core::Aorta reference(core::Config{});
+  core::Aorta sys(core::Config{});
+  shard::Plane plane(&sys, shard::Plane::Options{.num_shards = 2});
+  for (int i = 0; i < 4; ++i) {
+    std::string id = "m" + std::to_string(i);
+    ASSERT_TRUE(reference.add_mote(id, {double(i), 0, 1}).is_ok());
+    ASSERT_TRUE(plane.add_mote(id, {double(i), 0, 1}).is_ok());
+  }
+  auto parse = [](const std::string& xml) {
+    auto plan = FaultPlan::from_xml(xml);
+    EXPECT_TRUE(plan.is_ok()) << plan.status().to_string();
+    return plan.is_ok() ? std::move(plan).value() : FaultPlan{};
+  };
+  FaultPlan ghost = parse(
+      "<fault_plan>"
+      "<event at=\"1\" kind=\"crash\" device=\"m0\"/>"
+      "<event at=\"2\" kind=\"crash\" device=\"ghost\"/>"
+      "</fault_plan>");
+  FaultPlan nowhere = parse(
+      "<fault_plan>"
+      "<event at=\"1\" kind=\"partition\" device=\"m1\"/>"
+      "<event at=\"1\" kind=\"partition\" device=\"nowhere\"/>"
+      "</fault_plan>");
+
+  const std::size_t pending = sys.runtime().pending();
+  util::Status s = plane.apply_fault_plan(ghost);
+  ASSERT_FALSE(s.is_ok());
+  EXPECT_EQ(s.to_string(), reference.apply_fault_plan(ghost).to_string());
+  EXPECT_NE(s.message().find("unknown device: ghost"), std::string::npos);
+  util::Status n = plane.apply_fault_plan(nowhere);
+  ASSERT_FALSE(n.is_ok());
+  EXPECT_EQ(n.to_string(), reference.apply_fault_plan(nowhere).to_string());
+  EXPECT_NE(n.message().find("unattached node: nowhere"), std::string::npos);
+  EXPECT_EQ(sys.runtime().pending(), pending);
+
+  sys.run_for(Duration::seconds(3));
+  EXPECT_TRUE(plane.mote("m0")->online());
+  EXPECT_FALSE(plane.worker(plane.shard_of_device("m1"))
+                   .engine()
+                   .network()
+                   .is_partitioned("m1"));
+}
+
+// A plan mixing a worker-homed device and a shard-targeted event: each
+// event is scheduled on the loop of the engine owning its target (the
+// mote's worker; the partitioned worker's own segment), never on the
+// control loop, and the run is identical at 1 and 2 runtime threads.
+TEST(FaultPlanShardTest, MixedPlanFiresEachEventOnItsHomeLoop) {
+  auto run = [](int threads) {
+    core::Config cfg;
+    cfg.seed = 11;
+    cfg.runtime_threads = threads;
+    core::Aorta sys(cfg);
+    shard::Plane plane(&sys, shard::Plane::Options{.num_shards = 2});
+    std::string mote;
+    for (int i = 0; i < 6; ++i) {
+      std::string id = "m" + std::to_string(i);
+      EXPECT_TRUE(plane.add_mote(id, {double(i), 0, 1}).is_ok());
+      if (mote.empty() && plane.shard_of_device(id) == 0) mote = id;
+    }
+    EXPECT_FALSE(mote.empty());
+    auto plan = FaultPlan::from_xml(
+        "<fault_plan>"
+        "<event at=\"2\" kind=\"crash\" device=\"" + mote + "\"/>"
+        "<event at=\"3\" kind=\"crash\" shard=\"1\"/>"
+        "<event at=\"6\" kind=\"revive\" device=\"" + mote + "\"/>"
+        "<event at=\"9\" kind=\"revive\" shard=\"1\"/>"
+        "</fault_plan>");
+    EXPECT_TRUE(plan.is_ok()) << plan.status().to_string();
+
+    core::Engine& host = sys.engine();
+    core::Engine& home0 = plane.worker(0).engine();
+    core::Engine& home1 = plane.worker(1).engine();
+    const std::size_t host_before = host.loop().pending();
+    const std::size_t w0_before = home0.loop().pending();
+    const std::size_t w1_before = home1.loop().pending();
+    EXPECT_TRUE(plane.apply_fault_plan(plan.value()).is_ok());
+    EXPECT_EQ(host.loop().pending(), host_before);
+    EXPECT_EQ(home0.loop().pending(), w0_before + 2);
+    EXPECT_EQ(home1.loop().pending(), w1_before + 2);
+
+    std::string observed;
+    auto observe = [&](int until_s) {
+      sys.run_for(Duration::seconds(until_s) -
+                  (sys.loop().now() - util::TimePoint::origin()));
+      observed += std::to_string(until_s) + ":" +
+                  (plane.mote(mote)->online() ? "up" : "down") + "," +
+                  (home1.network().is_partitioned("shard-1") ? "cut" : "ok") +
+                  "," + (plane.czar().worker_live(1) ? "live" : "dead") + ";";
+    };
+    observe(1);
+    observe(4);
+    observe(7);
+    observe(12);
+    return observed + sys.metrics().snapshot_json();
+  };
+  const std::string serial = run(1);
+  EXPECT_NE(serial.find("1:up,ok,live;4:down,cut,live;7:up,cut,dead;"
+                        "12:up,ok,live;"),
+            std::string::npos)
+      << serial.substr(0, 120);
+  EXPECT_EQ(run(2), serial);
+}
+
 TEST_F(FaultPlanSystemFixture, PlansCompose) {
   FaultPlan a = parse(
       "<fault_plan><event at=\"1\" kind=\"crash\" device=\"m1\"/>"

@@ -145,16 +145,42 @@ TEST_F(CommFixture, ReadFailsFastWhenDeviceGoesOfflineMidFlight) {
   EXPECT_LT(clock.now().to_seconds(), 0.5);  // well under the RPC timeout
 }
 
+// A mote whose board also reports an int and a string reading.
+class LabelledMote : public devices::Mica2Mote {
+ public:
+  using Mica2Mote::Mica2Mote;
+  util::Result<Value> read_attribute(const std::string& name) override {
+    if (name == "count") return Value{std::int64_t{-42}};
+    if (name == "label") return Value{std::string("north 'wing'")};
+    return Mica2Mote::read_attribute(name);
+  }
+};
+
 TEST_F(CommFixture, ReadAttrDecodesTypedValues) {
-  add_mote("m1", 23.5);
-  bool done = false;
-  comm.mote().read_attr("m1", "temp", [&](util::Result<Value> v) {
-    done = true;
-    ASSERT_TRUE(v.is_ok());
-    EXPECT_TRUE(device::value_equal(v.value(), Value{23.5}));
-  });
+  auto mote = std::make_unique<LabelledMote>("m1", device::Location{});
+  mote->reliability().glitch_prob = 0.0;
+  (void)mote->set_signal("temp", devices::constant_signal(23.456789012));
+  ASSERT_TRUE(registry.add(std::move(mote)).is_ok());
+  (void)network.set_link("m1", net::LinkModel::perfect());
+  // Each type round-trips exactly: doubles at %.9g, ints and strings
+  // verbatim (quotes inside a string are data, not delimiters).
+  const std::vector<std::pair<std::string, Value>> cases = {
+      {"temp", Value{23.456789}},
+      {"count", Value{std::int64_t{-42}}},
+      {"label", Value{std::string("north 'wing'")}},
+  };
+  int done = 0;
+  for (const auto& [attr, want] : cases) {
+    comm.mote().read_attr("m1", attr, [&, want = want](util::Result<Value> v) {
+      ++done;
+      ASSERT_TRUE(v.is_ok());
+      EXPECT_EQ(v.value().index(), want.index());
+      EXPECT_TRUE(device::value_equal(v.value(), want))
+          << device::value_to_string(v.value());
+    });
+  }
   loop.run_all();
-  EXPECT_TRUE(done);
+  EXPECT_EQ(done, 3);
 }
 
 TEST_F(CommFixture, ReadAttrSurfacesDeviceErrors) {

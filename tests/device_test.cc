@@ -211,8 +211,20 @@ TEST_F(DeviceFixture, OfflineDeviceIsSilent) {
   EXPECT_TRUE(answered);
 }
 
+// A mote whose board also reports an int and a string reading, so one
+// device exercises every sensory value type on the read_attr wire.
+class LabelledMote : public devices::Mica2Mote {
+ public:
+  using Mica2Mote::Mica2Mote;
+  util::Result<Value> read_attribute(const std::string& name) override {
+    if (name == "count") return Value{std::int64_t{-42}};
+    if (name == "label") return Value{std::string("north 'wing'")};
+    return Mica2Mote::read_attribute(name);
+  }
+};
+
 TEST_F(DeviceFixture, ReadAttrReturnsTypedValueAndErrors) {
-  auto mote = std::make_unique<devices::Mica2Mote>("m1", Location{});
+  auto mote = std::make_unique<LabelledMote>("m1", Location{});
   (void)mote->set_signal("temp", devices::constant_signal(25.5));
   mote->reliability().glitch_prob = 0.0;
   ASSERT_TRUE(registry.add(std::move(mote)).is_ok());
@@ -226,8 +238,26 @@ TEST_F(DeviceFixture, ReadAttrReturnsTypedValueAndErrors) {
                    ++answered;
                    ASSERT_TRUE(reply.is_ok());
                    EXPECT_EQ(reply.value().field("ok"), "1");
-                   EXPECT_DOUBLE_EQ(reply.value().field_double("value_double"),
-                                    25.5);
+                   // One encoding per value: a type tag and the value.
+                   EXPECT_EQ(reply.value().fields.size(), 3u);
+                   EXPECT_EQ(reply.value().field("type"), "double");
+                   EXPECT_DOUBLE_EQ(reply.value().field_double("value"), 25.5);
+                 });
+  probe.rpc.call("m1", "read_attr", {{"attr", "count"}}, Duration::seconds(5),
+                 [&](util::Result<net::Message> reply) {
+                   ++answered;
+                   ASSERT_TRUE(reply.is_ok());
+                   EXPECT_EQ(reply.value().fields.size(), 3u);
+                   EXPECT_EQ(reply.value().field("type"), "int");
+                   EXPECT_EQ(reply.value().field("value"), "-42");
+                 });
+  probe.rpc.call("m1", "read_attr", {{"attr", "label"}}, Duration::seconds(5),
+                 [&](util::Result<net::Message> reply) {
+                   ++answered;
+                   ASSERT_TRUE(reply.is_ok());
+                   EXPECT_EQ(reply.value().fields.size(), 3u);
+                   EXPECT_EQ(reply.value().field("type"), "string");
+                   EXPECT_EQ(reply.value().field("value"), "north 'wing'");
                  });
   probe.rpc.call("m1", "read_attr", {{"attr", "nonexistent"}},
                  Duration::seconds(5), [&](util::Result<net::Message> reply) {
@@ -236,7 +266,7 @@ TEST_F(DeviceFixture, ReadAttrReturnsTypedValueAndErrors) {
                    EXPECT_EQ(reply.value().field("ok"), "0");
                  });
   loop.run_all();
-  EXPECT_EQ(answered, 2);
+  EXPECT_EQ(answered, 4);
 }
 
 TEST_F(DeviceFixture, BusyDeviceDropsRequestsProbabilistically) {

@@ -1,6 +1,7 @@
 // Negative tests for error reporting at the declarative interface:
 // parser diagnostics must point at the offending statement fragment,
-// statements calling unknown functions are rejected up front, and
+// statements calling unknown functions or projecting unknown columns are
+// rejected up front, and
 // malformed XML profile documents must fail loudly with element/attribute
 // context instead of silently defaulting fields.
 #include <gtest/gtest.h>
@@ -117,6 +118,80 @@ TEST(UnknownFunctionTest, ShardedPlaneReturnsTheWorkerCompileError) {
   auto aq = run("CREATE AQ q AS SELECT nosuchfn(s.temp) FROM sensor s");
   ASSERT_FALSE(aq.is_ok());
   EXPECT_TRUE(names_function(aq.status())) << aq.status().to_string();
+  EXPECT_TRUE(plane.czar().aq_names().empty());
+}
+
+// ------------------------------------- unknown projection columns
+//
+// A qualified projection naming an unknown alias, or a column its alias's
+// table lacks, is rejected when the statement compiles with the WHERE
+// clause's error texts — not accepted and projected as NULL on every row.
+
+bool names_alias(const util::Status& status) {
+  return status.message().find("unknown table alias: x") != std::string::npos;
+}
+
+bool names_column(const util::Status& status) {
+  return status.message().find("table s has no column nosuch") !=
+         std::string::npos;
+}
+
+TEST(UnknownProjectionTest, OneShotSelectIsRejected) {
+  core::Aorta sys(core::Config{});
+  ASSERT_TRUE(sys.add_mote("m1", {1, 0, 1}).is_ok());
+  auto column = sys.exec("SELECT s.nosuch FROM sensor s");
+  ASSERT_FALSE(column.is_ok());
+  EXPECT_TRUE(names_column(column.status())) << column.status().to_string();
+  auto alias = sys.exec("SELECT x.temp FROM sensor s");
+  ASSERT_FALSE(alias.is_ok());
+  EXPECT_TRUE(names_alias(alias.status())) << alias.status().to_string();
+  // The same text as the WHERE clause's check.
+  auto where = sys.exec("SELECT s.temp FROM sensor s WHERE x.temp > 1");
+  ASSERT_FALSE(where.is_ok());
+  EXPECT_EQ(where.status().message(), alias.status().message());
+  // Star forms are unaffected.
+  EXPECT_TRUE(sys.exec("SELECT count(*) FROM sensor s").is_ok());
+  EXPECT_TRUE(sys.exec("SELECT * FROM sensor s").is_ok());
+}
+
+TEST(UnknownProjectionTest, CreateAqIsRejectedAndNotRegistered) {
+  core::Aorta sys(core::Config{});
+  ASSERT_TRUE(sys.add_mote("m1", {1, 0, 1}).is_ok());
+  auto column = sys.exec("CREATE AQ q AS SELECT s.nosuch FROM sensor s");
+  ASSERT_FALSE(column.is_ok());
+  EXPECT_TRUE(names_column(column.status())) << column.status().to_string();
+  auto alias = sys.exec(
+      "CREATE AQ w AS SELECT sum(x.temp) FROM sensor s WINDOW 2s");
+  ASSERT_FALSE(alias.is_ok());
+  EXPECT_TRUE(names_alias(alias.status())) << alias.status().to_string();
+  EXPECT_TRUE(sys.executor().aq_names().empty());
+}
+
+TEST(UnknownProjectionTest, ShardedPlaneReturnsTheWorkerCompileError) {
+  core::Aorta sys(core::Config{});
+  shard::Plane::Options options;
+  options.num_shards = 2;
+  shard::Plane plane(&sys, options);
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_TRUE(plane.add_mote("m" + std::to_string(i), {double(i), 0, 1})
+                    .is_ok());
+  }
+  auto run = [&](const std::string& sql) {
+    util::Result<core::ExecResult> out = util::internal_error("not called");
+    plane.exec_async(sql, {}, [&](util::Result<core::ExecResult> r) {
+      out = std::move(r);
+    });
+    sys.run_for(util::Duration::seconds(3.0));
+    return out;
+  };
+
+  auto select = run("SELECT s.nosuch FROM sensor s");
+  ASSERT_FALSE(select.is_ok());
+  EXPECT_TRUE(names_column(select.status())) << select.status().to_string();
+
+  auto aq = run("CREATE AQ q AS SELECT x.temp FROM sensor s");
+  ASSERT_FALSE(aq.is_ok());
+  EXPECT_TRUE(names_alias(aq.status())) << aq.status().to_string();
   EXPECT_TRUE(plane.czar().aq_names().empty());
 }
 

@@ -339,8 +339,8 @@ TEST(ShardPlaneTest, DevicePartitionCoversBothShards) {
   EXPECT_TRUE(shard_used[1]);
   // The owning worker's registry holds the device; the other does not.
   int owner = w.plane->shard_of_device("m0");
-  EXPECT_NE(w.plane->worker(owner).mote("m0"), nullptr);
-  EXPECT_EQ(w.plane->worker(1 - owner).mote("m0"), nullptr);
+  EXPECT_NE(w.plane->worker(owner).engine().mote("m0"), nullptr);
+  EXPECT_EQ(w.plane->worker(1 - owner).engine().mote("m0"), nullptr);
 }
 
 TEST(ShardPlaneTest, SelectConcatenatesPartialsFromAllShards) {

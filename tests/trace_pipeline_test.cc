@@ -25,27 +25,82 @@
 
 // ---- counting allocator -----------------------------------------------------
 // Replacing global operator new in this TU counts every allocation in the
-// test binary; the zero-alloc test diffs the counter around run_for().
+// test binary; the zero-alloc test diffs the counter around run_for(). The
+// whole replaceable family is replaced — plain, nothrow, sized and aligned,
+// all on malloc/aligned_alloc/free — so no allocation made by one family
+// member (std::stable_sort's buffer uses nothrow new) is released by a
+// non-matching one.
 namespace {
 std::atomic<std::uint64_t> g_allocations{0};
-}  // namespace
 
-void* operator new(std::size_t size) {
+void* counted_malloc(std::size_t size) noexcept {
   ++g_allocations;
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
+  return std::malloc(size ? size : 1);
 }
 
-void* operator new[](std::size_t size) {
+void* counted_aligned_alloc(std::size_t size, std::align_val_t al) noexcept {
   ++g_allocations;
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
+  const auto align = static_cast<std::size_t>(al);
+  // aligned_alloc wants a non-zero size that is a multiple of the alignment.
+  const std::size_t rounded = (size + align - 1) / align * align;
+  return std::aligned_alloc(align, rounded ? rounded : align);
+}
+
+void* or_throw(void* p) {
+  if (p == nullptr) throw std::bad_alloc();
+  return p;
+}
+}  // namespace
+
+void* operator new(std::size_t size) { return or_throw(counted_malloc(size)); }
+void* operator new[](std::size_t size) {
+  return or_throw(counted_malloc(size));
+}
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  return counted_malloc(size);
+}
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  return counted_malloc(size);
+}
+void* operator new(std::size_t size, std::align_val_t al) {
+  return or_throw(counted_aligned_alloc(size, al));
+}
+void* operator new[](std::size_t size, std::align_val_t al) {
+  return or_throw(counted_aligned_alloc(size, al));
+}
+void* operator new(std::size_t size, std::align_val_t al,
+                   const std::nothrow_t&) noexcept {
+  return counted_aligned_alloc(size, al);
+}
+void* operator new[](std::size_t size, std::align_val_t al,
+                     const std::nothrow_t&) noexcept {
+  return counted_aligned_alloc(size, al);
 }
 
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+void operator delete(void* p, std::align_val_t,
+                     const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+void operator delete[](void* p, std::align_val_t,
+                       const std::nothrow_t&) noexcept {
+  std::free(p);
+}
 
 namespace aorta {
 namespace {
